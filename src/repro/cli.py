@@ -106,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(bit-identical results; 'vectorized' needs scheduler support)",
     )
     run_p.add_argument(
-        "--slot-chunk", type=int, default=1, metavar="K",
-        help="slots per step_chunk() call in the plain loop (bit-identical "
-        "for every K; ignored when telemetry, sanitizing or faults are on)",
-    )
-    run_p.add_argument(
         "--sanitize", action="store_true",
         help="run the runtime sanitizer tier (conservation, matching "
         "validity, FIFO order, kernel cross-checks; REPRO_SANITIZE=hard "
@@ -414,7 +409,6 @@ def _run_command(args: argparse.Namespace) -> int:
             args.ports,
             _traffic_spec(args),
             num_slots=args.slots,
-            slot_chunk=args.slot_chunk,
             seed=args.seed,
             extended_stats=args.extended,
             telemetry=telemetry,

@@ -8,6 +8,8 @@ Three independent concerns behind one :class:`Telemetry` bundle:
   zero-cost :class:`NoopTracer` disabled path.
 * :mod:`repro.obs.profiler` — phase-level wall-clock attribution
   (traffic_gen / schedule / stats / invariants).
+* :mod:`repro.obs.observer` — the engine's per-slot telemetry observer
+  (owns the ``sim.*``/``kernel.*`` metric names).
 * :mod:`repro.obs.sinks` — streaming :class:`MetricSink` receivers
   (in-memory, JSONL-with-rotation, callback) for observing runs
   mid-flight via periodic registry snapshots.

@@ -10,12 +10,13 @@ does a run actually spend its time" before any optimisation PR.
 from __future__ import annotations
 
 import time
+from typing import Any, Callable
 
 __all__ = ["PHASES", "PhaseProfiler", "NoopProfiler", "NOOP_PROFILER", "clock_ns"]
 
 #: The one sanctioned wall-clock read (`repro.lint` rule DET001): code
-#: outside repro/obs that legitimately needs timing — the engine's
-#: profiled loop — imports this alias instead of the time module, keeping
+#: outside repro/obs that legitimately needs timing — kernel benchmarks,
+#: for one — imports this alias instead of the time module, keeping
 #: every wall-clock dependency explicit and greppable.
 clock_ns = time.perf_counter_ns
 
@@ -36,6 +37,26 @@ class PhaseProfiler:
     def add(self, phase: str, ns: int) -> None:
         """Attribute ``ns`` nanoseconds of wall-clock to ``phase``."""
         self._ns[phase] = self._ns.get(phase, 0) + ns
+
+    def timed(self, phase: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """Wrap ``fn`` so every call's wall-clock is attributed to ``phase``.
+
+        The engine binds its slot-loop callables through this once per
+        profiled run, so the loop itself carries no timing code. The
+        phase is registered (at 0 ns) as soon as it is wrapped, so a
+        phase whose callable never runs still shows in the report.
+        """
+        ns = self._ns
+        ns.setdefault(phase, 0)
+        clock = clock_ns
+
+        def timed_call(*args: Any) -> Any:
+            start = clock()
+            out = fn(*args)
+            ns[phase] += clock() - start
+            return out
+
+        return timed_call
 
     def total_ns(self, phase: str | None = None) -> int:
         """Nanoseconds recorded for one phase (or all phases summed)."""

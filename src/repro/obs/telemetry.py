@@ -2,10 +2,11 @@
 
 A :class:`Telemetry` object groups the three observability concerns —
 metrics registry, slot tracer, phase profiler — plus an optional progress
-reporter. The engine takes ``telemetry=None`` by default and runs its
-original uninstrumented loop; passing any Telemetry switches it to the
-instrumented loop. Each component individually degrades to a null object,
-so ``Telemetry(profile=True)`` profiles without tracing and vice versa.
+reporter. The engine takes ``telemetry=None`` by default and runs with no
+telemetry observer; passing any Telemetry adds a
+:class:`~repro.obs.observer.TelemetryObserver` to its slot loop. Each
+component individually degrades to a null object, so
+``Telemetry(profile=True)`` profiles without tracing and vice versa.
 """
 
 from __future__ import annotations

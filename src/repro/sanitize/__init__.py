@@ -7,7 +7,8 @@ as a third independent oracle next to the unit tests and the backend
 equivalence harness, so a future kernel backend (batched slots, a
 compiled tier) cannot silently break an invariant the spot tests miss.
 
-Enabling (the plain path stays untouched when off — guard-tested):
+Enabling (when off, no suite is built and no slot observer attached —
+guard-tested):
 
 * environment: ``REPRO_SANITIZE=1`` (record mode: collect every
   violation, fail at end of run) or ``REPRO_SANITIZE=hard`` (fail-fast

@@ -125,12 +125,21 @@ def _require_object_backend(
 # --------------------------------------------------------------------- #
 # Built-in pairings (the paper's four algorithms + extensions)
 # --------------------------------------------------------------------- #
+def _tie_break(tie: "TieBreak | str") -> TieBreak:
+    """Coerce a tie-break policy name; unknown names are a config error."""
+    try:
+        return TieBreak(tie)
+    except ValueError:
+        raise ConfigurationError(
+            f"unknown tie_break {tie!r}; one of "
+            f"{sorted(t.value for t in TieBreak)}"
+        ) from None
+
+
 def _fifoms(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.voq_multicast import MulticastVOQSwitch
 
-    tie = kw.pop("tie_break", TieBreak.RANDOM)
-    if isinstance(tie, str):
-        tie = TieBreak(tie)
+    tie = _tie_break(kw.pop("tie_break", TieBreak.RANDOM))
     sched = FIFOMSScheduler(
         num_ports,
         tie_break=tie,
@@ -205,9 +214,7 @@ def _oqfifo(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
 def _fifoms_prio(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.qos.switch import PriorityMulticastVOQSwitch
 
-    tie = kw.pop("tie_break", TieBreak.RANDOM)
-    if isinstance(tie, str):
-        tie = TieBreak(tie)
+    tie = _tie_break(kw.pop("tie_break", TieBreak.RANDOM))
     return PriorityMulticastVOQSwitch(
         num_ports, kw.pop("num_classes", 2), tie_break=tie, rng=rng, **kw
     )

@@ -54,13 +54,6 @@ class SimulationConfig:
         ``"vectorized"`` (struct-of-arrays; bit-identical results, see
         ``repro.kernel.equivalence``). Pairings that cannot drive the
         requested backend fail with a configuration error at build time.
-    slot_chunk:
-        Slots handed to the switch per :meth:`~repro.switch.base.BaseSwitch.
-        step_chunk` call in the plain (untelemetered, unsanitized,
-        fault-free) loop. 1 (the default) keeps the historical per-slot
-        loop; larger values amortize the engine's per-slot dispatch over
-        K slots. Chunks never cross an invariant-check or stability-window
-        boundary, and the slot stream is bit-identical for every K.
     """
 
     num_slots: int = PAPER_NUM_SLOTS
@@ -72,7 +65,6 @@ class SimulationConfig:
     raise_on_unstable: bool = False
     extended_stats: bool = False
     backend: str = "object"
-    slot_chunk: int = 1
 
     def __post_init__(self) -> None:
         if self.num_slots < 1:
@@ -102,10 +94,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 "check_invariants_every must be >= 0, got "
                 f"{self.check_invariants_every}"
-            )
-        if self.slot_chunk < 1:
-            raise ConfigurationError(
-                f"slot_chunk must be >= 1, got {self.slot_chunk}"
             )
 
     @property

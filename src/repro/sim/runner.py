@@ -73,7 +73,6 @@ def run_simulation(
     *,
     num_slots: int = 100_000,
     warmup_fraction: float = 0.5,
-    slot_chunk: int = 1,
     seed: int | None = 0,
     config: SimulationConfig | None = None,
     extended_stats: bool = False,
@@ -87,7 +86,7 @@ def run_simulation(
     """Build switch + traffic + engine from plain values and run.
 
     Parameters mirror the registry/traffic specs; ``config`` overrides the
-    (num_slots, warmup_fraction, slot_chunk) shorthand when given. Determinism: the
+    (num_slots, warmup_fraction) shorthand when given. Determinism: the
     ``seed`` spawns two independent named streams, one for the traffic
     model and one for scheduler tie-breaking; fault models draw from
     their own ``faults.*`` streams off the same root seed.
@@ -126,7 +125,6 @@ def run_simulation(
         # windows = ~8% of the run spent strictly climbing).
         stability_window=max(100, num_slots // 100),
         extended_stats=extended_stats,
-        slot_chunk=slot_chunk,
     )
     if backend is None:
         backend = switch_kwargs.pop("backend", None)

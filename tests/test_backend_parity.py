@@ -1,20 +1,19 @@
 """Object-vs-vectorized parity for every newly vectorized pairing.
 
-One trace-pinned :func:`repro.fast.parity.run_pair` per registry pairing
-at a moderate and a heavy load: both kernel backends must produce
-identical summaries on the identical arrival sequence. (The original
-FIFOMS/iSLIP trio has its own deeper suites; TATRA is object-only and
-covered by the demotion tests.)
+One :func:`repro.kernel.equivalence.run_case` per registry pairing at a
+moderate and a heavy load: both kernel backends must produce identical
+summaries, per-slot digests, final state and telemetry from the same
+seed. (The original FIFOMS/iSLIP pair has its own deeper suites; TATRA
+is object-only and covered by the demotion tests.)
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fast.parity import compare_summaries, run_pair
-from repro.traffic.bernoulli import BernoulliMulticastTraffic
+from repro.kernel.equivalence import EquivalenceCase, run_case
 
-#: Pairings whose vectorized path arrived with the repro.fast fold.
+#: Pairings whose vectorized path arrived after FIFOMS and iSLIP.
 NEWLY_VECTORIZED = (
     "pim",
     "maxweight-lqf",
@@ -39,6 +38,7 @@ LOADS = ((0.3, 0.3), (0.6, 0.4))
 @pytest.mark.parametrize("algorithm", NEWLY_VECTORIZED)
 def test_backends_identical_on_pinned_trace(algorithm, load):
     p, b = load
-    traffic = BernoulliMulticastTraffic(8, p=p, b=b, rng=42)
-    ref, fast = run_pair(algorithm, traffic, 1200, seed=5)
-    assert compare_summaries(ref, fast) == []
+    case = EquivalenceCase(
+        algorithm, {"model": "bernoulli", "p": p, "b": b}, seed=42
+    )
+    assert run_case(case, num_ports=8, num_slots=1200).ok

@@ -52,6 +52,9 @@ def _spawn_campaign(store_dir: Path) -> subprocess.Popen:
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        # Own session, so the supervisor and its pool workers share a
+        # process group the test can kill as one.
+        start_new_session=True,
     )
 
 
@@ -120,6 +123,11 @@ class TestSupervisorSigkill:
             # what fsync-per-append already guaranteed.
             proc.kill()
             proc.wait(timeout=30)
+            # The orphaned pool workers would otherwise sleep forever.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
         journaled = _done_records(store_dir / "journal.jsonl")
         assert 3 <= len(journaled) < GRID_POINTS

@@ -8,10 +8,16 @@ import io
 
 import pytest
 
-import repro.sim.engine as engine_mod
+import repro.obs.observer as observer_mod
+import repro.obs.profiler as profiler_mod
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.experiments import get_figure, run_figure
-from repro.obs import ProgressReporter, Telemetry, aggregate_telemetry
+from repro.obs import (
+    ProgressReporter,
+    SlotTracer,
+    Telemetry,
+    aggregate_telemetry,
+)
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import run_simulation
@@ -45,28 +51,39 @@ def _tiny_engine(telemetry=None):
 
 class TestDisabledPathGuard:
     def test_zero_telemetry_calls_without_telemetry(self, monkeypatch):
-        """With ``telemetry=None`` the engine must never touch telemetry
-        code: no record building, no clock reads, no instrumented loop."""
+        """With ``telemetry=None`` the one slot loop must never touch
+        telemetry code: no slot record, no clock read, no observer."""
         calls: list[str] = []
         monkeypatch.setattr(
-            engine_mod,
+            observer_mod,
             "build_slot_record",
             lambda *a, **k: calls.append("trace"),
         )
         monkeypatch.setattr(
-            engine_mod,
+            profiler_mod,
             "clock_ns",
             lambda: calls.append("perf") or 0,
         )
+        real_init = observer_mod.TelemetryObserver.__init__
+
+        def spy_init(self, *args, **kwargs):
+            calls.append("observer")
+            real_init(self, *args, **kwargs)
+
         monkeypatch.setattr(
-            SimulationEngine,
-            "_run_instrumented",
-            lambda self: calls.append("instrumented") or False,
+            observer_mod.TelemetryObserver, "__init__", spy_init
         )
-        summary = _tiny_engine(telemetry=None).run()
+        engine = _tiny_engine(telemetry=None)
+        summary = engine.run()
         assert calls == []
+        assert engine.observers == ()
         assert summary.telemetry is None
         assert summary.cells_delivered == 10
+        # The spies are live: a telemetry run trips all three.
+        _tiny_engine(
+            telemetry=Telemetry(tracer=SlotTracer(io.StringIO()), profile=True)
+        ).run()
+        assert {"trace", "perf", "observer"} <= set(calls)
 
     def test_telemetry_does_not_perturb_results(self):
         """Instrumentation observes; it must not change a single number."""

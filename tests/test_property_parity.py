@@ -1,4 +1,4 @@
-"""Property-based exact-parity tests: reference vs fast engines on
+"""Property-based exact-parity tests: object vs vectorized backends on
 hypothesis-drawn traces (deterministic arbitration)."""
 
 from __future__ import annotations
@@ -7,9 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
-from repro.fast.fifoms_engine import FastFIFOMSEngine
-from repro.fast.islip_engine import FastISLIPEngine
-from repro.fast.parity import compare_summaries
 from repro.packet import Packet
 from repro.schedulers.islip import ISLIPScheduler
 from repro.sim.config import SimulationConfig
@@ -52,16 +49,20 @@ def test_fast_fifoms_bit_identical_on_any_trace(trace):
     n, horizon, packets = trace
     cells = sum(p.fanout for p in packets)
     cfg = _cfg(horizon, cells)
-    ref = SimulationEngine(
-        MulticastVOQSwitch(n, FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT)),
-        TraceTraffic(n, packets),
-        cfg,
-        algorithm_name="fifoms",
-    ).run()
-    fast = FastFIFOMSEngine(
-        TraceTraffic(n, packets), cfg, tie_break="lowest_input"
-    ).run()
-    assert compare_summaries(ref, fast) == []
+    ref, fast = (
+        SimulationEngine(
+            MulticastVOQSwitch(
+                n,
+                FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT),
+                backend=backend,
+            ),
+            TraceTraffic(n, packets),
+            cfg,
+            algorithm_name="fifoms",
+        ).run()
+        for backend in ("object", "vectorized")
+    )
+    assert fast.to_json() == ref.to_json()
 
 
 @settings(max_examples=30, deadline=None)
@@ -70,11 +71,13 @@ def test_fast_islip_bit_identical_on_any_trace(trace):
     n, horizon, packets = trace
     cells = sum(p.fanout for p in packets)
     cfg = _cfg(horizon, cells)
-    ref = SimulationEngine(
-        UnicastVOQSwitch(n, ISLIPScheduler(n)),
-        TraceTraffic(n, packets),
-        cfg,
-        algorithm_name="islip",
-    ).run()
-    fast = FastISLIPEngine(TraceTraffic(n, packets), cfg).run()
-    assert compare_summaries(ref, fast) == []
+    ref, fast = (
+        SimulationEngine(
+            UnicastVOQSwitch(n, ISLIPScheduler(n), backend=backend),
+            TraceTraffic(n, packets),
+            cfg,
+            algorithm_name="islip",
+        ).run()
+        for backend in ("object", "vectorized")
+    )
+    assert fast.to_json() == ref.to_json()

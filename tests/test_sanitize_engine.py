@@ -1,20 +1,22 @@
 """Engine/CLI integration and guard tests for the sanitizer tier.
 
-The guard discipline mirrors the telemetry tier's: the plain loop must
-stay byte-free of sanitizer code (so sanitizer-off runs pay nothing),
+The guard discipline mirrors the telemetry tier's: a sanitizer-off run
+builds no suite and attaches no slot observer (so it pays nothing),
 sanitized runs must not perturb results, and real simulations — healthy,
 faulty, drop-tail — must come out violation-free.
 """
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import replace
 
 import pytest
 
 from repro.sanitize import SANITIZE_ENV, SanitizerError, SanitizerSuite
+from repro.schedulers.registry import make_switch
+from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
-from repro.sim.runner import run_simulation
+from repro.sim.runner import build_traffic, run_simulation
 
 TRAFFIC = {"model": "bernoulli", "p": 0.3, "b": 0.25}
 
@@ -30,10 +32,17 @@ def _sanitize_env_unset(monkeypatch):
 # --------------------------------------------------------------------- #
 class TestPlainPathGuards:
     def test_plain_loop_contains_no_sanitizer_code(self):
-        """Sanitizer-off runs use _run_plain verbatim: zero overhead by
-        construction, not by measurement."""
-        source = inspect.getsource(SimulationEngine._run_plain)
-        assert "sanit" not in source.lower()
+        """A sanitizer-off run has no suite and an empty observer tuple,
+        so the slot loop makes no sanitizer call at all."""
+        switch = make_switch("fifoms", 4, rng=1)
+        traffic = build_traffic(TRAFFIC, 4, rng=1)
+        engine = SimulationEngine(
+            switch, traffic, SimulationConfig(num_slots=50)
+        )
+        assert engine.sanitizer is None
+        engine.run()
+        assert engine.observers == ()
+        assert engine.slots_run == 50
 
     def test_engine_resolves_to_none_by_default(self):
         summary = run_simulation("fifoms", 4, TRAFFIC, num_slots=50, seed=1)
@@ -55,6 +64,29 @@ class TestPlainPathGuards:
             "fifoms", 8, TRAFFIC, num_slots=400, seed=3, sanitize=True
         )
         assert sanitized.to_json() == plain.to_json()
+
+    def test_all_observers_with_faults_match_bare_faulted_run(self):
+        """Telemetry (profiled, traced) + sanitizer + an injected fault in
+        one run: every summary field but the telemetry section matches
+        the same faulted run with both tiers off."""
+        import io
+
+        from repro.obs import SlotTracer, Telemetry
+
+        args = ("fifoms", 8, TRAFFIC)
+        kwargs = dict(num_slots=800, seed=11, faults="chaos")
+        bare = run_simulation(*args, **kwargs, sanitize=False)
+        suite = SanitizerSuite(deep_every=32)
+        observed = run_simulation(
+            *args, **kwargs, sanitize=suite,
+            telemetry=Telemetry(
+                tracer=SlotTracer(io.StringIO()), profile=True
+            ),
+        )
+        assert suite.ok and suite.slots_checked == 800
+        assert bare.telemetry is None and observed.telemetry is not None
+        assert observed.faults is not None
+        assert replace(observed, telemetry=None).to_json() == bare.to_json()
 
     def test_env_enables_without_touching_call_sites(self, monkeypatch):
         monkeypatch.setenv(SANITIZE_ENV, "1")
